@@ -200,5 +200,5 @@ func main() {
 	<-done
 	st := suite.SweepStats()
 	slogger.Info("exiting",
-		"runs", st.Runs, "memoHits", st.MemoHits, "coalesced", st.Deduped, "cacheHits", st.CacheHits)
+		"runs", st.Runs, "shared", st.Shared, "memoHits", st.MemoHits, "coalesced", st.Deduped, "cacheHits", st.CacheHits)
 }

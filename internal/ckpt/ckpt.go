@@ -1,7 +1,6 @@
 // Package ckpt is the checkpoint store behind sweep fast-forwarding: it
 // holds full-fidelity machine snapshots (warm-up prefixes shared between
-// configurations) and finished results (shared between configurations whose
-// runs are provably identical), in memory and optionally on disk.
+// configurations) and finished results, in memory and optionally on disk.
 //
 // The store is deliberately dumb: keys are opaque strings the experiment
 // layer derives from config fingerprints, and the store never inspects what
@@ -29,7 +28,7 @@ import (
 // experiment layer's cache fingerprints, so bumping it (for a snapshot
 // layout change, or a sharing-rule fix that old entries predate) atomically
 // invalidates every persisted checkpoint and result.
-const Version = "ckpt-1"
+const Version = "ckpt-2"
 
 // FormatVersion is the inner envelope's structural revision.
 const FormatVersion = 1
@@ -41,26 +40,9 @@ const (
 	// KindSnapshot entries carry a machine snapshot (a resumable warm-up
 	// prefix).
 	KindSnapshot Kind = "snapshot"
-	// KindResult entries carry a finished run's Result plus the metadata
-	// needed to decide whether another configuration may share it.
+	// KindResult entries carry a finished run's Result.
 	KindResult Kind = "result"
 )
-
-// ResultMeta qualifies a stored result for cross-configuration sharing.
-type ResultMeta struct {
-	// Watermark is the run's final rename allocation watermark per file.
-	// A result is servable to a target register file size only when the
-	// target clears both watermarks by 2 (see rename.RestoreUnit).
-	Watermark [2]int `json:"watermark"`
-	// PressureFree reports that the run never ticked a register-pressure
-	// counter end to end.
-	PressureFree bool `json:"pressureFree"`
-	// Model is the source run's exception model string. A precise
-	// pressure-free run is servable to both models (its kill-free
-	// allocation trajectory upper-bounds the imprecise one); an imprecise
-	// run serves only imprecise targets.
-	Model string `json:"model"`
-}
 
 // Envelope is the serialized checkpoint entry.
 type Envelope struct {
@@ -70,7 +52,6 @@ type Envelope struct {
 	Key     string         `json:"key"`
 	Snap    *core.Snapshot `json:"snap,omitempty"`
 	Result  *core.Result   `json:"result,omitempty"`
-	Meta    *ResultMeta    `json:"meta,omitempty"`
 }
 
 // Validate checks an envelope's structural sanity, delegating snapshot
@@ -92,11 +73,8 @@ func (e *Envelope) Validate() error {
 		}
 		return e.Snap.Validate()
 	case KindResult:
-		if e.Result == nil || e.Meta == nil {
-			return fmt.Errorf("ckpt: result envelope missing result or metadata")
-		}
-		if e.Meta.Watermark[0] < 0 || e.Meta.Watermark[1] < 0 {
-			return fmt.Errorf("ckpt: negative watermark %v", e.Meta.Watermark)
+		if e.Result == nil {
+			return fmt.Errorf("ckpt: result envelope missing result")
 		}
 		return nil
 	default:
@@ -127,19 +105,13 @@ func Encode(e *Envelope) ([]byte, error) {
 	return json.Marshal(e)
 }
 
-// resultEntry pairs a stored result with its sharing metadata.
-type resultEntry struct {
-	res  *core.Result
-	meta ResultMeta
-}
-
 // Store holds checkpoint entries. All methods are safe for concurrent use.
 // Entries are immutable once stored: Snapshot returns the shared snapshot
 // (which core.Resume never mutates), Result returns a deep copy.
 type Store struct {
 	mu      sync.Mutex
 	snaps   map[string]*core.Snapshot
-	results map[string]resultEntry
+	results map[string]*core.Result
 
 	disk *rescache.Store // nil for memory-only stores
 
@@ -151,7 +123,7 @@ type Store struct {
 func NewStore() *Store {
 	return &Store{
 		snaps:   make(map[string]*core.Snapshot),
-		results: make(map[string]resultEntry),
+		results: make(map[string]*core.Result),
 	}
 }
 
@@ -227,45 +199,44 @@ func (s *Store) Snapshot(key string) (*core.Snapshot, bool) {
 	return nil, false
 }
 
-// PutResult stores a finished result and its sharing metadata under key.
-// The result is deep-copied on the way in, so later mutation by the caller
-// cannot corrupt the store.
-func (s *Store) PutResult(key string, res *core.Result, meta ResultMeta) error {
+// PutResult stores a finished result under key. The result is deep-copied
+// on the way in, so later mutation by the caller cannot corrupt the store.
+func (s *Store) PutResult(key string, res *core.Result) error {
 	res = res.Clone()
 	s.mu.Lock()
-	s.results[key] = resultEntry{res: res, meta: meta}
+	s.results[key] = res
 	s.mu.Unlock()
 	if s.disk == nil {
 		return nil
 	}
 	dk := diskKey(KindResult, key)
 	return s.disk.Put(dk, &Envelope{
-		Format: FormatVersion, Version: Version, Kind: KindResult, Key: dk, Result: res, Meta: &meta,
+		Format: FormatVersion, Version: Version, Kind: KindResult, Key: dk, Result: res,
 	})
 }
 
-// Result loads the result stored under key, returning a deep copy (entries
-// are served to many configurations; none may alias another's histograms).
-func (s *Store) Result(key string) (*core.Result, ResultMeta, bool) {
+// Result loads the result stored under key, returning a deep copy (no
+// caller may alias another's histograms).
+func (s *Store) Result(key string) (*core.Result, bool) {
 	s.mu.Lock()
-	ent, ok := s.results[key]
+	res, ok := s.results[key]
 	s.mu.Unlock()
 	if ok {
 		s.resultHits.Add(1)
-		return ent.res.Clone(), ent.meta, true
+		return res.Clone(), true
 	}
 	if s.disk != nil {
 		var e Envelope
 		if s.disk.Get(diskKey(KindResult, key), &e) && e.Validate() == nil && e.Kind == KindResult {
 			s.mu.Lock()
-			s.results[key] = resultEntry{res: e.Result, meta: *e.Meta}
+			s.results[key] = e.Result
 			s.mu.Unlock()
 			s.resultHits.Add(1)
-			return e.Result.Clone(), *e.Meta, true
+			return e.Result.Clone(), true
 		}
 	}
 	s.resultMisses.Add(1)
-	return nil, ResultMeta{}, false
+	return nil, false
 }
 
 // Stats is a point-in-time snapshot of the store's hit/miss counters.

@@ -37,7 +37,6 @@ func testSnapshot(t testing.TB) (*core.Snapshot, *core.Result) {
 
 func TestStoreRoundTrip(t *testing.T) {
 	snap, res := testSnapshot(t)
-	meta := ResultMeta{Watermark: [2]int{40, 35}, PressureFree: true, Model: "precise"}
 
 	for _, disk := range []bool{false, true} {
 		name := "memory"
@@ -61,7 +60,7 @@ func TestStoreRoundTrip(t *testing.T) {
 			if err := s.PutSnapshot("k1", snap); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.PutResult("k2", res, meta); err != nil {
+			if err := s.PutResult("k2", res); err != nil {
 				t.Fatal(err)
 			}
 
@@ -85,12 +84,9 @@ func TestStoreRoundTrip(t *testing.T) {
 				if string(gb) != string(wb) {
 					t.Error("snapshot did not round-trip byte-identically")
 				}
-				gotRes, gotMeta, ok := st.Result("k2")
+				gotRes, ok := st.Result("k2")
 				if !ok {
 					t.Fatal("stored result missing")
-				}
-				if !reflect.DeepEqual(gotMeta, meta) {
-					t.Errorf("meta round-trip: got %+v, want %+v", gotMeta, meta)
 				}
 				rb, _ := json.Marshal(gotRes)
 				rw, _ := json.Marshal(res)
@@ -98,7 +94,7 @@ func TestStoreRoundTrip(t *testing.T) {
 					t.Error("result did not round-trip byte-identically")
 				}
 				// Served results must not alias each other.
-				again, _, _ := st.Result("k2")
+				again, _ := st.Result("k2")
 				if again == gotRes {
 					t.Error("Result returned the same pointer twice")
 				}
@@ -111,8 +107,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	snap, res := testSnapshot(t)
 	for _, e := range []*Envelope{
 		{Format: FormatVersion, Version: Version, Kind: KindSnapshot, Key: "a", Snap: snap},
-		{Format: FormatVersion, Version: Version, Kind: KindResult, Key: "b", Result: res,
-			Meta: &ResultMeta{Watermark: [2]int{30, 30}, Model: "imprecise"}},
+		{Format: FormatVersion, Version: Version, Kind: KindResult, Key: "b", Result: res},
 	} {
 		data, err := Encode(e)
 		if err != nil {

@@ -13,8 +13,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("{"))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"format":1,"version":"ckpt-1","kind":"snapshot","key":"a"}`))
-	f.Add([]byte(`{"format":1,"version":"ckpt-1","kind":"result","key":"a","result":{},"meta":{"watermark":[30,30]}}`))
+	f.Add([]byte(`{"format":1,"version":"ckpt-2","kind":"snapshot","key":"a"}`))
+	f.Add([]byte(`{"format":1,"version":"ckpt-2","kind":"result","key":"a","result":{}}`))
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	// A genuine envelope as the structured seed, so the engine mutates from
@@ -23,8 +23,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	if good, err := Encode(&Envelope{Format: FormatVersion, Version: Version, Kind: KindSnapshot, Key: "seed", Snap: snap}); err == nil {
 		f.Add(good)
 	}
-	if good, err := Encode(&Envelope{Format: FormatVersion, Version: Version, Kind: KindResult, Key: "seed", Result: res,
-		Meta: &ResultMeta{Watermark: [2]int{30, 30}, Model: "precise"}}); err == nil {
+	if good, err := Encode(&Envelope{Format: FormatVersion, Version: Version, Kind: KindResult, Key: "seed", Result: res}); err == nil {
 		f.Add(good)
 	}
 

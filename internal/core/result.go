@@ -9,7 +9,7 @@ import (
 // into persistent result-cache fingerprints, so it MUST be bumped by any
 // change that can alter a simulation's Result for the same configuration
 // (pipeline rules, latencies, predictor details, statistics definitions).
-const Version = "core-1"
+const Version = "core-2"
 
 // Result holds the statistics of one simulation run. Every field is
 // exported and JSON-encodable: the sweep subsystem's persistent cache

@@ -259,7 +259,7 @@ func (m *Machine) Snapshot() (*Snapshot, error) {
 }
 
 // RegWatermarks returns both files' rename allocation watermarks (highest
-// physical register ever allocated). The checkpoint layer records them so a
+// physical register ever allocated). The experiment layer records them so a
 // pressure-free result or snapshot can be validated against a smaller
 // target file (servable iff target regs ≥ watermark+2).
 func (m *Machine) RegWatermarks() [2]int {
@@ -267,9 +267,9 @@ func (m *Machine) RegWatermarks() [2]int {
 }
 
 // PressureFreeSoFar reports whether the run has never ticked a register-
-// pressure counter: the precondition for cross-register-size checkpoint
-// sharing (the trajectory so far is provably independent of the file size,
-// for any size ≥ watermark+2).
+// pressure counter: the precondition for cross-register-size result and
+// checkpoint sharing (the trajectory so far is provably independent of the
+// file size, for any size ≥ watermark+2).
 func (m *Machine) PressureFreeSoFar() bool {
 	return m.res.NoFreeRegCycles == 0 && m.res.DispatchRegStalls == 0
 }

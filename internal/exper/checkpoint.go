@@ -4,15 +4,13 @@ import (
 	"regsim/internal/ckpt"
 	"regsim/internal/core"
 	"regsim/internal/prog"
-	"regsim/internal/rename"
 	"regsim/internal/sweep/rescache"
 	"regsim/internal/workload"
 )
 
 // Checkpoint fast-forwarding: the sharing rules.
 //
-// The checkpoint store holds two entry kinds, each under exact and shared
-// keys:
+// The checkpoint store holds two entry kinds:
 //
 //   - Milestone snapshots: the machine's full state after m committed
 //     instructions, for m on ckpt.Milestones' power-of-two grid. Milestone
@@ -23,21 +21,16 @@ import (
 //     later process can resume from it; the shared key additionally drops
 //     the register-file size, is captured whenever the run is still
 //     pressure-free (core.Resume re-checks the retarget preconditions and
-//     refuses entries the target file cannot soundly restore), and is what
-//     a sweep's own sibling configurations fast-forward over.
+//     refuses entries the target file cannot soundly restore — the
+//     pressure-free rule of share.go, applied mid-run), and is what a
+//     sweep's own sibling configurations fast-forward over.
 //
-//   - Final results: the finished Result plus sharing metadata. The exact
-//     key binds everything including the budget (it is the in-store mirror
-//     of the rescache entry, so checkpoint stores accelerate repeat sweeps
-//     even without a persistent result cache). The shared key drops the
-//     register-file size AND the exception model; a stored result is served
-//     to a target only when the source run was pressure-free end to end,
-//     the target file clears the source's final allocation watermarks by 2,
-//     and the model is servable: a pressure-free run never exercises the
-//     freeing discipline's only behavioural difference, but the imprecise
-//     model's earlier frees keep its watermark at or below the precise
-//     model's — so a precise source bounds both models while an imprecise
-//     source is only proof for imprecise targets.
+//   - Final results under an exact key that binds everything including the
+//     budget: the in-store mirror of the rescache entry, so checkpoint
+//     stores accelerate repeat sweeps even without a persistent result
+//     cache. Finished results are shared across register-file sizes and
+//     models by the suite's pressure-free index (share.go), which answers
+//     before this store is consulted.
 //
 // Every key folds in the simulator, workload, artifact, checkpoint and
 // snapshot format versions plus the artifact's content ID, so stale stores
@@ -89,45 +82,18 @@ func finalExactKey(spec Spec, art *prog.Artifact) string {
 	return rescache.Fingerprint(k)
 }
 
-func finalSharedKey(spec Spec, art *prog.Artifact) string {
-	k := baseKeyMat(spec, art)
-	k.Kind, k.Budget = "final-shared", spec.Budget
-	k.Model = "" // cross-model: servability is decided from the entry's metadata
-	return rescache.Fingerprint(k)
-}
-
-// servableShared decides whether a shared final-result entry may answer
-// spec (the soundness argument is in the package comment above).
-func servableShared(meta ckpt.ResultMeta, spec Spec) bool {
-	if !meta.PressureFree {
-		return false
-	}
-	if spec.Regs < max(meta.Watermark[0], meta.Watermark[1])+2 {
-		return false
-	}
-	return meta.Model == spec.Model.String() ||
-		(meta.Model == rename.Precise.String() && spec.Model == rename.Imprecise)
-}
-
 // runCheckpointed simulates spec through the checkpoint store: serve the
-// result outright if a servable final entry exists, otherwise resume from
-// the deepest restorable milestone snapshot, simulate the remainder while
+// result outright if an exact final entry exists, otherwise resume from the
+// deepest restorable milestone snapshot, simulate the remainder while
 // capturing new milestones, and store the finished result. Every path
-// produces a Result bit-identical to the cold run's.
-func (s *Suite) runCheckpointed(spec Spec, art *prog.Artifact, cfg core.Config) (*core.Result, error) {
+// produces a Result bit-identical to the cold run's. The machine is returned
+// when one ran, so the caller can index the run as a pressure-free source.
+func (s *Suite) runCheckpointed(spec Spec, art *prog.Artifact, cfg core.Config) (*core.Result, *core.Machine, error) {
 	st := s.Checkpoints
 	exactFinal := finalExactKey(spec, art)
-	if res, _, ok := st.Result(exactFinal); ok {
+	if res, ok := st.Result(exactFinal); ok {
 		s.progressf("ckpt %-9s regs=%-4d %s: final (exact)", spec.Bench, spec.Regs, spec.Model)
-		return res, nil
-	}
-	sharedFinal := ""
-	if !spec.Track {
-		sharedFinal = finalSharedKey(spec, art)
-		if res, meta, ok := st.Result(sharedFinal); ok && servableShared(meta, spec) {
-			s.progressf("ckpt %-9s regs=%-4d %s: final (shared, wm=%v)", spec.Bench, spec.Regs, spec.Model, meta.Watermark)
-			return res, nil
-		}
+		return res, nil, nil
 	}
 
 	ms := ckpt.Milestones(spec.Budget)
@@ -157,7 +123,7 @@ scan:
 	if m == nil {
 		var err error
 		if m, err = core.NewFromArtifact(cfg, art); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	} else {
 		s.progressf("ckpt %-9s regs=%-4d %s: resumed at %d commits", spec.Bench, spec.Regs, spec.Model, ms[next-1])
@@ -177,7 +143,7 @@ scan:
 	persist := st.Dir() != ""
 	for i := next; i < len(ms); i++ {
 		if res, err = m.Run(ms[i]); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		capture := persist
 		sharedKey := ""
@@ -206,29 +172,14 @@ scan:
 		// Resumed from a snapshot at (or beyond) the budget itself — a
 		// larger-budget run's milestone. Run is a no-op that finalizes.
 		if res, err = m.Run(spec.Budget); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
-	meta := ckpt.ResultMeta{
-		Watermark:    m.RegWatermarks(),
-		PressureFree: m.PressureFreeSoFar(),
-		Model:        spec.Model.String(),
-	}
-	if perr := st.PutResult(exactFinal, res, meta); perr != nil {
+	if perr := st.PutResult(exactFinal, res); perr != nil {
 		s.progressf("ckpt put %s: %v", spec.Bench, perr)
 	}
-	if sharedFinal != "" && meta.PressureFree {
-		// Put-if-absent: an existing entry is never less servable than this
-		// one would be (pressure-free trajectories are size-independent, and
-		// sweeps order precise before imprecise), so keep the first.
-		if _, _, ok := st.Result(sharedFinal); !ok {
-			if perr := st.PutResult(sharedFinal, res, meta); perr != nil {
-				s.progressf("ckpt put %s: %v", spec.Bench, perr)
-			}
-		}
-	}
-	return res, nil
+	return res, m, nil
 }
 
 func (s *Suite) putSnapshot(st *ckpt.Store, key string, snap *core.Snapshot, spec Spec) {

@@ -33,10 +33,7 @@ func readGoldens(t *testing.T) map[string]string {
 // fingerprints exactly — whether results come from cold runs with capture
 // (pass one), from fast-forwarding over another budget's milestone
 // snapshots (pass two), or from snapshots that additionally round-tripped
-// through the on-disk JSON envelope (pass three). Pass one also exercises
-// cross-configuration sharing within the sweep itself (a precise
-// pressure-free result serving its imprecise twin), since the cross-product
-// runs both models over identical machines.
+// through the on-disk JSON envelope (pass three).
 func TestCheckpointedGoldens(t *testing.T) {
 	want := readGoldens(t)
 	specs := goldenSpecs()
@@ -123,11 +120,10 @@ func TestCheckpointedGoldens(t *testing.T) {
 // TestCheckpointSharing pins that the sweep actually shares work, not just
 // that sharing is harmless: in a register-file sweep ordered large-to-small
 // under one store, the later (smaller) configurations must be answered from
-// shared entries rather than simulated cold.
+// pressure-free siblings rather than simulated cold.
 func TestCheckpointSharing(t *testing.T) {
-	store := ckpt.NewStore()
 	s := NewSuite(4_096)
-	s.Checkpoints = store
+	s.Checkpoints = ckpt.NewStore()
 	for i := len(RegSizes) - 1; i >= 0; i-- {
 		for _, model := range []rename.Model{rename.Precise, rename.Imprecise} {
 			spec := Spec{Bench: "compress", Width: 4, Queue: 32, Regs: RegSizes[i], Model: model, Cache: cache.LockupFree}
@@ -136,9 +132,8 @@ func TestCheckpointSharing(t *testing.T) {
 			}
 		}
 	}
-	st := store.Stats()
-	if st.ResultHits == 0 {
-		t.Errorf("no shared final-result hits across the register sweep (stats %+v)", st)
+	if st := s.SweepStats(); st.Shared == 0 {
+		t.Errorf("no pressure-free shares across the register sweep (stats %+v)", st)
 	}
 	if got, n := s.sims.Load(), int64(2*len(RegSizes)); got >= n {
 		t.Errorf("sweep simulated %d machines for %d specs; sharing saved nothing", got, n)

@@ -25,8 +25,10 @@
 // Execution rides on the sweep subsystem (internal/sweep): each figure
 // prefetches its whole spec matrix across a bounded worker pool, the
 // engine's memo guarantees every spec simulates at most once per process
-// (figures share configurations freely), and an optional persistent result
-// cache (internal/sweep/rescache) makes repeat sweeps near-instant.
+// (figures share configurations freely), a pressure-free index answers
+// register-file points a sibling run already proved (share.go), and an
+// optional persistent result cache (internal/sweep/rescache) makes repeat
+// sweeps near-instant.
 package exper
 
 import (
@@ -122,13 +124,12 @@ type Suite struct {
 	HeartbeatEvery int64
 	// Checkpoints, when non-nil, enables architectural checkpoint
 	// fast-forwarding: runs capture full-fidelity machine snapshots at a
-	// milestone grid and finished results with sharing metadata, and later
-	// runs resume from the deepest servable entry instead of simulating
-	// the common prefix again. Every served or resumed result is
-	// bit-identical to the cold run's (see internal/exper/checkpoint.go
-	// for the sharing rules and core.Resume for the preservation
-	// argument), which TestCheckpointedGoldens enforces against the
-	// golden corpus.
+	// milestone grid and their finished results, and later runs resume
+	// from the deepest servable entry instead of simulating the common
+	// prefix again. Every served or resumed result is bit-identical to the
+	// cold run's (see internal/exper/checkpoint.go for the sharing rules
+	// and core.Resume for the preservation argument), which
+	// TestCheckpointedGoldens enforces against the golden corpus.
 	Checkpoints *ckpt.Store
 	// SampleRate, when in (0, 1), switches non-tracking runs to sampled
 	// simulation: only ceil(Budget×SampleRate) commits are simulated and
@@ -147,6 +148,8 @@ type Suite struct {
 	eng     *sweep.Engine[Spec, *core.Result]
 	progMu  sync.Mutex
 	sims    atomic.Int64 // simulations actually executed (cache misses)
+	shared  atomic.Int64 // specs answered from the pressure-free index
+	share   shareIndex
 
 	// Built program artifacts (workload plus predecoded instruction
 	// table), shared across the suite's runs. An Artifact is immutable
@@ -208,6 +211,7 @@ func (s *Suite) Run(spec Spec) (*core.Result, error) {
 // own context error, and an execution killed by one caller's deadline is
 // retried transparently for callers that are still live.
 func (s *Suite) RunContext(ctx context.Context, spec Spec) (*core.Result, error) {
+	defer s.share.publish()
 	return s.engine().Do(ctx, s.normalize(spec))
 }
 
@@ -220,6 +224,7 @@ func (s *Suite) RunAll(ctx context.Context, specs []Spec) ([]*core.Result, error
 	for i, spec := range specs {
 		norm[i] = s.normalize(spec)
 	}
+	defer s.share.publish()
 	return s.engine().DoAll(ctx, norm)
 }
 
@@ -319,12 +324,13 @@ func (s *Suite) checkpointable(cfg core.Config) bool {
 }
 
 // simulate is the engine's run function: persistent-cache lookup, then the
-// real simulation — checkpoint-accelerated or sampled when the suite is so
-// configured — then a cache fill. It may run on any pool worker.
+// pressure-free index (share.go), then the real simulation —
+// checkpoint-accelerated or sampled when the suite is so configured — then a
+// cache fill. It may run on any pool worker.
 //
-// Sampled runs bypass the persistent cache in both directions: an estimate
-// must never be served where an exact result is expected, and the same
-// fingerprint must never mean two different things.
+// Sampled runs bypass the persistent cache and the index in both directions:
+// an estimate must never be served where an exact result is expected, and
+// the same fingerprint must never mean two different things.
 func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 	sampled := s.SampleRate > 0 && s.SampleRate < 1 && !spec.Track
 	var key string
@@ -341,6 +347,27 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 			return &r, nil
 		}
 	}
+	res, ok := s.answerShared(ctx, spec, sampled)
+	if !ok {
+		var err error
+		if res, err = s.execute(ctx, spec, sampled); err != nil {
+			return nil, err
+		}
+		s.progressf("ran %-9s w=%d q=%-3d regs=%-4d %s/%s: IPC %.2f",
+			spec.Bench, spec.Width, spec.Queue, spec.Regs, spec.Model, spec.Cache, res.CommitIPC())
+	}
+	if key != "" {
+		if err := s.Cache.Put(key, res); err != nil {
+			// A failed fill costs a future re-simulation, never the sweep.
+			s.progressf("cache put %s: %v", spec.Bench, err)
+		}
+	}
+	return res, nil
+}
+
+// execute simulates spec on a machine, and records an exact run that
+// finished pressure-free as a source in the suite's index.
+func (s *Suite) execute(ctx context.Context, spec Spec, sampled bool) (*core.Result, error) {
 	build, _ := obs.StartSpan(ctx, "workload.build")
 	build.Set("bench", spec.Bench)
 	art, err := s.artifact(spec.Bench)
@@ -381,13 +408,13 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 		}
 	}
 	var res *core.Result
+	var m *core.Machine
 	switch {
 	case sampled:
 		res, err = s.runSampled(ctx, spec, art, cfg)
 	case s.checkpointable(cfg):
-		res, err = s.runCheckpointed(spec, art, cfg)
+		res, m, err = s.runCheckpointed(spec, art, cfg)
 	default:
-		var m *core.Machine
 		m, err = core.NewFromArtifact(cfg, art)
 		if err == nil {
 			s.sims.Add(1)
@@ -405,20 +432,16 @@ func (s *Suite) simulate(ctx context.Context, spec Spec) (*core.Result, error) {
 		run.Set("cycleAccounting", cfg.Telemetry.Account.Snapshot())
 	}
 	run.End()
-	if s.Cache != nil && !sampled {
-		if err := s.Cache.Put(key, res); err != nil {
-			// A failed fill costs a future re-simulation, never the sweep.
-			s.progressf("cache put %s: %v", spec.Bench, err)
-		}
+	if m != nil {
+		s.share.add(spec, res, m)
 	}
-	s.progressf("ran %-9s w=%d q=%-3d regs=%-4d %s/%s: IPC %.2f",
-		spec.Bench, spec.Width, spec.Queue, spec.Regs, spec.Model, spec.Cache, res.CommitIPC())
 	return res, nil
 }
 
 // SweepStats snapshots the scheduler and persistent-cache counters. Runs
 // counts simulations actually executed: an engine execution answered by the
-// persistent cache is a cache hit, not a run.
+// persistent cache is a cache hit and one answered by the pressure-free
+// index is shared, neither is a run.
 func (s *Suite) SweepStats() telemetry.SweepStats {
 	eng := s.engine().Stats()
 	st := telemetry.SweepStats{
@@ -427,6 +450,7 @@ func (s *Suite) SweepStats() telemetry.SweepStats {
 		Runs:     s.sims.Load(),
 		MemoHits: eng.MemoHits,
 		Deduped:  eng.Deduped,
+		Shared:   s.shared.Load(),
 	}
 	if s.Cache != nil {
 		cs := s.Cache.Stats()

@@ -35,26 +35,34 @@ type Fig6 struct {
 // the suite's worker pool).
 func (s *Suite) Fig6() (*Fig6, error) {
 	f := &Fig6{Budget: s.Budget}
-	var specs []Spec
-	// Prefetch order is a checkpoint-sharing heuristic: largest register
-	// files first and precise before imprecise, so the sweep's earliest
-	// runs are the pressure-free ones that seed shared checkpoint entries
-	// for everything after them. Results are identical in any order — a
-	// less favourable schedule (e.g. under high Jobs) only costs reuse.
+	// Two batches: the largest register file first, then the rest. The
+	// first batch's pressure-free runs are the sources (share.go) that
+	// answer the second batch's saturated points. Within a batch, largest
+	// files first and precise before imprecise put the pressure-free runs
+	// early, where they seed shared checkpoint milestones. Results are
+	// identical in any order.
+	var largest, rest []Spec
 	for _, width := range Widths {
 		for _, model := range []rename.Model{rename.Precise, rename.Imprecise} {
 			for i := len(RegSizes) - 1; i >= 0; i-- {
 				for _, bench := range workload.Names() {
-					specs = append(specs, Spec{
+					spec := Spec{
 						Bench: bench, Width: width, Queue: CostEffectiveQueue(width),
 						Regs: RegSizes[i], Model: model, Cache: cache.LockupFree,
-					})
+					}
+					if i == len(RegSizes)-1 {
+						largest = append(largest, spec)
+					} else {
+						rest = append(rest, spec)
+					}
 				}
 			}
 		}
 	}
-	if err := s.prefetch(specs); err != nil {
-		return nil, err
+	for _, batch := range [][]Spec{largest, rest} {
+		if err := s.prefetch(batch); err != nil {
+			return nil, err
+		}
 	}
 	for _, width := range Widths {
 		for _, model := range []rename.Model{rename.Precise, rename.Imprecise} {

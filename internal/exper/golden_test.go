@@ -23,7 +23,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/scheduler
 // preservation: as long as results are byte-identical, core.Version must NOT
 // be bumped (persistent cache entries stay valid). A legitimate behavioural
 // change bumps core.Version and regenerates the goldens in the same commit.
-const goldenVersion = "core-1"
+const goldenVersion = "core-2"
 
 const goldenBudget = 8_000
 

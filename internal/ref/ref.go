@@ -10,6 +10,7 @@ package ref
 
 import (
 	"fmt"
+	"math/bits"
 
 	"regsim/internal/isa"
 	"regsim/internal/mem"
@@ -169,8 +170,8 @@ func (it *Interp) Run(max uint64) (uint64, error) {
 	return it.Retired - start, nil
 }
 
-// Checksum is an FNV-1a fold over the retired instruction stream: for each
-// retired instruction it absorbs (PC, opcode, result). The out-of-order
+// Checksum is a word-at-a-time fold over the retired instruction stream: for
+// each retired instruction it absorbs (PC, opcode, result). The out-of-order
 // pipeline computes the same fold at commit time; equality of checksums means
 // the pipeline committed the same instructions with the same results in the
 // same order.
@@ -179,41 +180,38 @@ type Checksum struct {
 }
 
 const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
+	// sumBasis seeds the fold (the FNV-1a 64-bit offset basis).
+	sumBasis = 14695981039346656037
+	// sumMul is the mix multiplier: odd, so multiplication by it is a
+	// bijection on uint64 (the 64-bit golden-ratio constant).
+	sumMul = 0x9e3779b97f4a7c15
+	// sumRot carries the product's well-mixed high bits back down into the
+	// low bits the next multiply spreads upwards.
+	sumRot = 29
 )
 
 // Add absorbs one retired instruction.
 func (c *Checksum) Add(pc uint64, op isa.Op, result uint64) {
 	h := c.h
 	if h == 0 {
-		h = fnvOffset
+		h = sumBasis
 	}
-	h = foldWord(foldWord(foldWord(h, pc), uint64(op)), result)
-	c.h = h
+	c.h = mixWord(mixWord(mixWord(h, pc), uint64(op)), result)
 }
 
-// foldWord absorbs one 64-bit word byte-by-byte, little-endian — the FNV-1a
-// byte loop unrolled with the accumulator in a register. The math is
-// byte-for-byte identical to the rolled loop; committed checksums must not
-// change.
-func foldWord(h, v uint64) uint64 {
-	h = (h ^ (v & 0xff)) * fnvPrime
-	h = (h ^ (v >> 8 & 0xff)) * fnvPrime
-	h = (h ^ (v >> 16 & 0xff)) * fnvPrime
-	h = (h ^ (v >> 24 & 0xff)) * fnvPrime
-	h = (h ^ (v >> 32 & 0xff)) * fnvPrime
-	h = (h ^ (v >> 40 & 0xff)) * fnvPrime
-	h = (h ^ (v >> 48 & 0xff)) * fnvPrime
-	h = (h ^ (v >> 56)) * fnvPrime
-	return h
+// mixWord absorbs one 64-bit word in a single xor-multiply-rotate step. Each
+// of the three operations is a bijection, so the step is one in the state
+// for a fixed word and in the word for a fixed state: two streams that differ
+// in exactly one word always leave different states behind it.
+func mixWord(h, w uint64) uint64 {
+	return bits.RotateLeft64((h^w)*sumMul, sumRot)
 }
 
 // Value returns the accumulated checksum.
 func (c *Checksum) Value() uint64 { return c.h }
 
 // State returns the raw fold state, for checkpoint serialization. Zero means
-// "nothing absorbed yet" (the FNV offset basis is applied lazily by Add).
+// "nothing absorbed yet" (the basis is applied lazily by Add).
 func (c *Checksum) State() uint64 { return c.h }
 
 // SetState restores a fold state previously obtained from State.

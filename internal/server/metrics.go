@@ -111,6 +111,8 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(sweepStats().Active) })
 	r.CounterFunc("regsim_sweep_runs_total", "Simulations actually executed by this process.",
 		func() float64 { return float64(sweepStats().Runs) })
+	r.CounterFunc("regsim_sweep_shared_total", "Specs answered from a pressure-free sibling run instead of simulated.",
+		func() float64 { return float64(sweepStats().Shared) })
 	r.CounterFunc("regsim_sweep_memo_hits_total", "Requests answered from an already-completed execution.",
 		func() float64 { return float64(sweepStats().MemoHits) })
 	r.CounterFunc("regsim_sweep_coalesced_total", "Requests that piggybacked on an in-flight execution of the same spec.",

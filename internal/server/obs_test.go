@@ -134,6 +134,51 @@ func TestTracePropagation(t *testing.T) {
 	}
 }
 
+// TestSharedSpan: a spec answered by the pressure-free index from a sibling
+// run records a "share" span naming the source in place of workload.build
+// and core.run, and the Prometheus exposition counts it.
+func TestSharedSpan(t *testing.T) {
+	srv, base := newObsServer(t, nil)
+	if resp, body := postSimulate(t, base, "", `{"bench":"compress","regs":2048}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("source status %d: %s", resp.StatusCode, body)
+	}
+	resp, body := postSimulate(t, base, "", `{"bench":"compress","regs":256,"model":"imprecise"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("target status %d: %s", resp.StatusCode, body)
+	}
+	tree, ok := srv.Traces().Get(resp.Header.Get("X-Trace-Id"))
+	if !ok {
+		t.Fatal("target trace not in the ring")
+	}
+	sp := tree.Find("share")
+	if sp == nil {
+		raw, _ := json.Marshal(tree)
+		t.Fatalf("no share span in %s", raw)
+	}
+	if sp.Attr("regs") != 2048 || sp.Attr("model") != "precise" {
+		t.Errorf("share span attrs regs=%v model=%v, want the 2048-register precise source", sp.Attr("regs"), sp.Attr("model"))
+	}
+	for _, name := range []string{"workload.build", "core.run"} {
+		if tree.Find(name) != nil {
+			t.Errorf("shared answer has a %q span", name)
+		}
+	}
+	r, err := http.Get(base + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(r.Body)
+	r.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"regsim_sweep_shared_total 1\n", "regsim_sweep_runs_total 1\n"} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("exposition lacks %q", strings.TrimSpace(want))
+		}
+	}
+}
+
 // TestCoalescedWaiterLinksLeader: when two traced requests collapse onto one
 // execution, the waiter's tree records a "coalesce" span carrying a link to
 // the leader's trace — the cross-trace edge that makes a 504'd leader's

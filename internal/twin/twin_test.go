@@ -68,6 +68,11 @@ func TestCalibrationMemoized(t *testing.T) {
 	if runs := suite.SweepStats().Runs; runs != batch {
 		t.Errorf("5 estimates over one (bench,width) ran %d simulations, want exactly the %d calibration runs", runs, batch)
 	}
+	// The calibration is one batch on a fresh suite, so no spec in it can be
+	// answered from a sibling of the same batch.
+	if shared := suite.SweepStats().Shared; shared != 0 {
+		t.Errorf("calibration batch shared %d specs, want 0", shared)
+	}
 	if reqs := m.CalibrationRuns(); reqs != batch {
 		t.Errorf("CalibrationRuns = %d, want %d", reqs, batch)
 	}
@@ -92,6 +97,9 @@ func TestCalibrationConcurrent(t *testing.T) {
 	wg.Wait()
 	if batch := int64(twin.CalibrationRunsPerPair()); suite.SweepStats().Runs != batch {
 		t.Errorf("concurrent estimates ran %d simulations, want the %d-run calibration batch", suite.SweepStats().Runs, batch)
+	}
+	if shared := suite.SweepStats().Shared; shared != 0 {
+		t.Errorf("concurrent calibration shared %d specs, want 0", shared)
 	}
 }
 
