@@ -8,8 +8,8 @@
 // serve which entries) live in internal/exper, next to the preservation
 // argument in core.Resume and rename.RestoreUnit.
 //
-// Disk persistence reuses the rescache envelope (atomic write-rename,
-// corruption-tolerant reads), with a second ckpt-level envelope inside that
+// Disk persistence reuses the rescache segment log (one CRC-checked record
+// per entry, corruption-tolerant reads), storing a JSON ckpt envelope that
 // carries the format version and entry kind; Decode over that inner
 // envelope is total, so a corrupt or hostile file can only read as a miss.
 package ckpt
@@ -128,9 +128,9 @@ func NewStore() *Store {
 }
 
 // OpenStore returns a store that additionally persists entries under dir,
-// sharing rescache's durability properties (atomic writes, corruption-
-// tolerant reads, multi-process safe). Entries read from disk are cached in
-// memory.
+// sharing rescache's durability properties (torn-write safe appends,
+// corruption-tolerant reads, multi-process safe). Entries read from disk are
+// cached in memory.
 func OpenStore(dir string) (*Store, error) {
 	disk, err := rescache.Open(dir)
 	if err != nil {

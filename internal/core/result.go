@@ -12,9 +12,11 @@ import (
 const Version = "core-2"
 
 // Result holds the statistics of one simulation run. Every field is
-// exported and JSON-encodable: the sweep subsystem's persistent cache
-// round-trips Results through JSON, so additions must remain losslessly
-// serialisable (see TestResultJSONRoundTrip).
+// exported and JSON-encodable: the wire protocol and the checkpoint store
+// round-trip Results through JSON, so additions must remain losslessly
+// serialisable (see TestResultJSONRoundTrip). The persistent result cache
+// stores them in the binary codec of resultbin.go, so a new field must
+// also join its counters or hists list (see TestResultBinaryRoundTrip).
 type Result struct {
 	// Cycles is the simulated run time.
 	Cycles int64

@@ -8,7 +8,7 @@ import (
 	"regsim/internal/workload"
 )
 
-// TestResultJSONRoundTrip: the sweep subsystem's persistent cache stores
+// TestResultJSONRoundTrip: the wire protocol and the checkpoint store carry
 // Results as JSON, so a Result must encode→decode→compare losslessly —
 // including the live-register and port histograms of tracked runs.
 func TestResultJSONRoundTrip(t *testing.T) {

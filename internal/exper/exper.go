@@ -454,7 +454,7 @@ func (s *Suite) SweepStats() telemetry.SweepStats {
 	}
 	if s.Cache != nil {
 		cs := s.Cache.Stats()
-		st.CacheHits, st.CacheMisses, st.CacheErrors = cs.Hits, cs.Misses, cs.Errors
+		st.CacheHits, st.CacheMisses, st.CacheErrors, st.CacheBytes = cs.Hits, cs.Misses, cs.Errors, cs.Bytes
 	}
 	return st
 }

@@ -58,8 +58,9 @@ func TestDeterministicAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestCacheCorruptionIsResimulated: a truncated or garbage cache entry must
-// be silently re-simulated (and produce the same result), never fail a sweep.
+// TestCacheCorruptionIsResimulated: a corrupt cache record must be silently
+// re-simulated (and produce the same result), never fail a sweep, and the
+// re-simulation heals the entry for the next process.
 func TestCacheCorruptionIsResimulated(t *testing.T) {
 	dir := t.TempDir()
 	store, err := rescache.Open(dir)
@@ -74,17 +75,19 @@ func TestCacheCorruptionIsResimulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt every entry on disk.
-	var corrupted int
-	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && filepath.Ext(path) == ".json" {
-			corrupted++
-			return os.WriteFile(path, []byte("{truncated"), 0o644)
-		}
-		return err
-	})
-	if err != nil || corrupted == 0 {
-		t.Fatalf("corrupted %d entries (err %v)", corrupted, err)
+	// Corrupt the result on disk: flip the last byte of the store's one
+	// segment, which lies inside the record's value.
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment, found %v (err %v)", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil || len(data) == 0 {
+		t.Fatalf("read segment: %d bytes (err %v)", len(data), err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	store2, err := rescache.Open(dir)
 	if err != nil {

@@ -123,6 +123,8 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(sweepStats().CacheMisses) })
 	r.CounterFunc("regsim_rescache_errors_total", "Defective persistent-cache entries healed by re-simulation.",
 		func() float64 { return float64(sweepStats().CacheErrors) })
+	r.GaugeFunc("regsim_rescache_bytes", "Persistent result-cache size on disk in bytes (append-only: superseded records included).",
+		func() float64 { return float64(sweepStats().CacheBytes) })
 
 	// Analytical twin: estimate traffic and the calibration simulations it
 	// has requested (the suite's memo/cache may have absorbed some).

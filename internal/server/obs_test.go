@@ -8,6 +8,9 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -558,6 +561,18 @@ func TestRescacheMetricsExported(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), "regsim_sweep_runs_total 0") {
 		t.Errorf("cached answer should not count as a run:\n%s", grepLines(string(raw), "sweep"))
+	}
+	// The size gauge is the store on disk: the first server's segment.
+	var segBytes int64
+	segs, _ := filepath.Glob(filepath.Join(dir, "*.seg"))
+	for _, seg := range segs {
+		if fi, err := os.Stat(seg); err == nil {
+			segBytes += fi.Size()
+		}
+	}
+	want := "regsim_rescache_bytes " + strconv.FormatFloat(float64(segBytes), 'g', -1, 64)
+	if segBytes == 0 || !strings.Contains(string(raw), want+"\n") {
+		t.Errorf("scrape missing %q:\n%s", want, grepLines(string(raw), "rescache"))
 	}
 }
 

@@ -1,6 +1,7 @@
 package rescache
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -54,27 +55,69 @@ func TestMiss(t *testing.T) {
 	}
 }
 
-// entryFile locates the single entry file in the store directory.
-func entryFile(t *testing.T, s *Store) string {
+// segmentFile locates the single segment file in the store directory.
+func segmentFile(t *testing.T, s *Store) string {
 	t.Helper()
-	var found string
-	err := filepath.Walk(s.Dir(), func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && filepath.Ext(path) == ".json" {
-			found = path
-		}
-		return err
-	})
-	if err != nil || found == "" {
-		t.Fatalf("no entry file in %s (err %v)", s.Dir(), err)
+	segs, err := filepath.Glob(filepath.Join(s.Dir(), "*"+segExt))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one segment in %s, found %v (err %v)", s.Dir(), segs, err)
 	}
-	return found
+	return segs[0]
 }
 
+// record returns the offset and length of key's current record.
+func record(t *testing.T, s *Store, key string) (int64, int) {
+	t.Helper()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	l, ok := s.index[key]
+	if !ok {
+		t.Fatalf("key %s is not indexed", key)
+	}
+	return l.off, int(l.n)
+}
+
+// patch overwrites the segment bytes at off with b.
+func patch(t *testing.T, path string, off int64, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func reopen(t *testing.T, s *Store) *Store {
+	t.Helper()
+	r, err := Open(s.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestCorruptEntryIsAMissAndRemoved: a damaged record is a miss plus one
+// error tick, is never served again (by this Store or after a reopen), and
+// is healed by the next Put.
 func TestCorruptEntryIsAMissAndRemoved(t *testing.T) {
-	for name, garbage := range map[string][]byte{
-		"truncated": []byte(`{"format":1,"key":`),
-		"garbage":   []byte("\x00\x01not json at all"),
-		"wrongKey":  []byte(`{"format":1,"key":"deadbeef","value":{}}`),
+	for name, damage := range map[string]func(t *testing.T, path string, off int64, n int){
+		"truncated": func(t *testing.T, path string, off int64, n int) {
+			if err := os.Truncate(path, off+int64(n)/2); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"garbage": func(t *testing.T, path string, off int64, n int) {
+			patch(t, path, off, bytes.Repeat([]byte("\x00\x01not a record"), n)[:n])
+		},
+		"wrongKey": func(t *testing.T, path string, off int64, n int) {
+			patch(t, path, off+headerLen, []byte(Fingerprint("deadbeef")))
+		},
+		"flippedValue": func(t *testing.T, path string, off int64, n int) {
+			patch(t, path, off+int64(n)-1, []byte{0xff})
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			s := testStore(t)
@@ -83,10 +126,8 @@ func TestCorruptEntryIsAMissAndRemoved(t *testing.T) {
 			if err := s.Put(key, in); err != nil {
 				t.Fatal(err)
 			}
-			path := entryFile(t, s)
-			if err := os.WriteFile(path, garbage, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			off, n := record(t, s, key)
+			damage(t, segmentFile(t, s), off, n)
 			var out payload
 			if s.Get(key, &out) {
 				t.Fatal("corrupt entry served as a hit")
@@ -95,20 +136,29 @@ func TestCorruptEntryIsAMissAndRemoved(t *testing.T) {
 			if st.Errors != 1 || st.Misses != 1 {
 				t.Errorf("stats = %+v, want 1 error + 1 miss", st)
 			}
-			if _, err := os.Stat(path); !os.IsNotExist(err) {
-				t.Error("corrupt entry was not removed")
+			if s.Get(key, &out) || s.Stats().Errors != 1 {
+				t.Errorf("corrupt entry was served or re-read: stats %+v", s.Stats())
 			}
-			// The slot heals: a fresh Put then hits.
+			if reopen(t, s).Get(key, &out) {
+				t.Error("corrupt entry served after a reopen")
+			}
+			// The slot heals: a fresh Put then hits, here and after a reopen.
 			if err := s.Put(key, in); err != nil {
 				t.Fatal(err)
 			}
 			if !s.Get(key, &out) || !reflect.DeepEqual(out, in) {
 				t.Error("healed slot did not round-trip")
 			}
+			out = payload{}
+			if !reopen(t, s).Get(key, &out) || !reflect.DeepEqual(out, in) {
+				t.Error("healed slot did not round-trip after a reopen")
+			}
 		})
 	}
 }
 
+// TestFormatVersionMismatchIsAQuietMiss: a record of another format
+// version is a miss without an error tick, before and after a reopen.
 func TestFormatVersionMismatchIsAQuietMiss(t *testing.T) {
 	s := testStore(t)
 	in := payload{Name: "x"}
@@ -116,17 +166,21 @@ func TestFormatVersionMismatchIsAQuietMiss(t *testing.T) {
 	if err := s.Put(key, in); err != nil {
 		t.Fatal(err)
 	}
-	path := entryFile(t, s)
-	stale := []byte(`{"format":999,"key":"` + key + `","value":{}}`)
-	if err := os.WriteFile(path, stale, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	off, _ := record(t, s, key)
+	patch(t, segmentFile(t, s), off+4, []byte{FormatVersion + 97})
 	var out payload
 	if s.Get(key, &out) {
 		t.Fatal("stale-format entry served as a hit")
 	}
 	if st := s.Stats(); st.Errors != 0 || st.Misses != 1 {
 		t.Errorf("stats = %+v, want a quiet miss (no error)", st)
+	}
+	r := reopen(t, s)
+	if r.Get(key, &out) {
+		t.Fatal("stale-format entry served after a reopen")
+	}
+	if st := r.Stats(); st.Errors != 0 || st.Misses != 1 {
+		t.Errorf("reopened stats = %+v, want a quiet miss (no error)", st)
 	}
 }
 
@@ -159,6 +213,8 @@ func TestOpenRejectsUnusableDir(t *testing.T) {
 	}
 }
 
+// TestNoStrayTempFiles: the directory holds segments only — no probe or
+// temporary files — and one segment per Store that wrote.
 func TestNoStrayTempFiles(t *testing.T) {
 	s := testStore(t)
 	for i := 0; i < 10; i++ {
@@ -167,14 +223,26 @@ func TestNoStrayTempFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	r := reopen(t, s)
+	if err := r.Put(Fingerprint("second writer"), payload{}); err != nil {
+		t.Fatal(err)
+	}
+	var segs int
 	err := filepath.Walk(s.Dir(), func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() && filepath.Ext(path) != ".json" {
-			t.Errorf("stray non-entry file %s", path)
+		switch {
+		case err != nil || path == s.Dir():
+		case info.IsDir() || filepath.Ext(path) != segExt:
+			t.Errorf("stray non-segment file %s", path)
+		default:
+			segs++
 		}
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if segs != 2 {
+		t.Errorf("%d segments for 2 writing Stores", segs)
 	}
 }
 
@@ -205,8 +273,8 @@ func TestConcurrentPutGet(t *testing.T) {
 
 // TestConcurrentWritersSameKeyAtomic is the stronger atomicity check: many
 // writers race distinct large payloads onto the same key while readers poll.
-// Because writes are temp-file-plus-rename, a reader must only ever observe
-// exactly one writer's complete payload — a Hist whose every word matches its
+// Because a record is indexed only after its single write returns, a reader
+// must only ever observe exactly one writer's complete payload — a Hist whose every word matches its
 // Cycles stamp — never an interleaving of two, and never a corruption tick.
 func TestConcurrentWritersSameKeyAtomic(t *testing.T) {
 	t.Parallel()

@@ -29,6 +29,10 @@ type SweepStats struct {
 	CacheHits   int64 `json:"cacheHits"`
 	CacheMisses int64 `json:"cacheMisses"`
 	CacheErrors int64 `json:"cacheErrors"`
+	// CacheBytes is the persistent result cache's size on disk: the
+	// records it indexed at open plus those appended since. The store is
+	// append-only, so this only grows.
+	CacheBytes int64 `json:"cacheBytes"`
 }
 
 // String renders the snapshot as a one-line summary.
@@ -36,8 +40,8 @@ func (s SweepStats) String() string {
 	line := fmt.Sprintf("sweep: %d workers, %d simulated, %d shared, %d memo hits, %d deduped",
 		s.Workers, s.Runs, s.Shared, s.MemoHits, s.Deduped)
 	if s.CacheHits+s.CacheMisses+s.CacheErrors > 0 {
-		line += fmt.Sprintf("; cache: %d hits, %d misses, %d errors",
-			s.CacheHits, s.CacheMisses, s.CacheErrors)
+		line += fmt.Sprintf("; cache: %d hits, %d misses, %d errors, %d bytes",
+			s.CacheHits, s.CacheMisses, s.CacheErrors, s.CacheBytes)
 	}
 	return line
 }

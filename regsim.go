@@ -166,10 +166,14 @@ type SweepSpec = exper.Spec
 
 // ResultCache is the sweep subsystem's persistent, content-addressed
 // on-disk result store. Entries are keyed by a fingerprint of the spec, its
-// commit budget, and the simulator/workload version strings; writes are
-// atomic and corrupt entries are re-simulated, never fatal. A ResultCache
-// is safe for concurrent use, including by multiple processes sharing one
-// directory.
+// commit budget, and the simulator/workload version strings. The store is
+// an append-only log: each ResultCache appends CRC-checked records to a
+// segment file of its own with one write per entry, and indexes every
+// segment when opened. Torn and corrupt records are re-simulated, never
+// fatal. A ResultCache is safe for concurrent use, including by multiple
+// processes sharing one directory; it sees what other processes append
+// only when opened again. Caches in the earlier one-JSON-file-per-entry
+// layout are ignored.
 type ResultCache = rescache.Store
 
 // OpenResultCache creates (if needed) and validates a result-cache
